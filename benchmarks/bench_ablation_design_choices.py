@@ -38,7 +38,8 @@ def test_ablation_clasp_span_and_latency(benchmark):
                                                capacity_uops=32)),
             }
             rows[name] = {
-                label: Simulator(trace, config, label).run().upc
+                label: Simulator(trace, config.with_fast_mode(),
+                                 label).run().upc
                 for label, config in configs.items()}
         return rows
 

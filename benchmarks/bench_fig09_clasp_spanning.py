@@ -8,8 +8,7 @@ from conftest import BENCH_INSTRUCTIONS, BENCH_WORKLOADS, publish
 
 from repro.analysis.figures import fig9_spanning_entries
 from repro.analysis.tables import render_series
-from repro.common.config import baseline_config, clasp_config
-from repro.core.experiment import workload_trace
+from repro.core.experiment import job_config, workload_trace
 from repro.core.simulator import Simulator
 
 
@@ -20,9 +19,9 @@ def test_fig09_entries_spanning_lines(benchmark):
         for name in BENCH_WORKLOADS:
             trace = workload_trace(name, BENCH_INSTRUCTIONS)
             clasp_results[name] = Simulator(
-                trace, clasp_config(2048), "clasp").run()
+                trace, job_config("clasp"), "clasp").run()
             baseline_results[name] = Simulator(
-                trace, baseline_config(2048), "baseline").run()
+                trace, job_config("baseline"), "baseline").run()
         return fig9_spanning_entries(clasp_results), baseline_results
 
     spanning, baseline_results = benchmark.pedantic(

@@ -10,8 +10,7 @@ not absolute equality).
 from conftest import BENCH_INSTRUCTIONS, BENCH_WORKLOADS, publish
 
 from repro.analysis.tables import render_table2
-from repro.common.config import baseline_config
-from repro.core.experiment import workload_trace
+from repro.core.experiment import job_config, workload_trace
 from repro.core.simulator import Simulator
 
 
@@ -20,7 +19,7 @@ def test_table2_workload_suite(benchmark):
         measured = {}
         for name in BENCH_WORKLOADS:
             trace = workload_trace(name, BENCH_INSTRUCTIONS)
-            result = Simulator(trace, baseline_config(2048), "b2k").run()
+            result = Simulator(trace, job_config("baseline"), "b2k").run()
             measured[name] = result.branch_mpki
         return measured
 

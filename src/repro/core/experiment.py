@@ -15,12 +15,13 @@ many simulator configs), and provides the normalizations the paper plots
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..common.config import (
     CompactionPolicy,
     SimulatorConfig,
+    TelemetryConfig,
     baseline_config,
     clasp_config,
     compaction_config,
@@ -71,6 +72,24 @@ def policy_config(label: str, capacity_uops: int = 2048,
         raise ValueError(f"unknown policy label {label!r}")
     return compaction_config(policies[label], capacity_uops,
                              max_entries_per_line=max_entries_per_line)
+
+
+def job_config(design: str, capacity_uops: int = 2048,
+               max_entries_per_line: int = 2, warmup_instructions: int = 0,
+               telemetry: bool = False) -> SimulatorConfig:
+    """The configuration a sweep cell or a service job runs under.
+
+    :func:`policy_config` for ``design`` with the job's warmup.  A job that
+    counts telemetry events runs the stepped loop with a hub; every other
+    job is counters-only and takes the fast serve loop, whose result is
+    bit-identical (tests/test_fast_mode.py, tests/test_runner.py).
+    """
+    config = replace(policy_config(design, capacity_uops,
+                                   max_entries_per_line),
+                     warmup_instructions=warmup_instructions)
+    if telemetry:
+        return replace(config, telemetry=TelemetryConfig(enabled=True))
+    return config.with_fast_mode()
 
 
 _TraceKey = Tuple[str, int, int, str, Tuple[Tuple[str, object], ...]]

@@ -10,10 +10,11 @@ counters don't need:
 - **no per-uop object churn** — the back-end admits whole instructions via
   :meth:`OutOfOrderBackend.admit_inst`, skipping one frozen ``UopTiming``
   dataclass per uop;
-- **precomputed trace views** — per-record PCs, memory addresses, resolved
-  taken flags, uop tuples and static execution latencies are materialized
-  into flat lists up front, replacing per-action ``program.at`` /
-  ``uops_at`` / property dispatch;
+- **precomputed trace views** — resolved taken flags, per-PC static
+  tuples (uops, static execution latencies, branch and line-span facts)
+  and the prediction-window bounds are materialized up front beside the
+  trace's own columns, replacing per-action ``program.at`` / ``uops_at``
+  / property dispatch;
 - **fused TAGE** — conditional branches go through
   :meth:`TagePredictor.observe` (one index/tag walk instead of three) with
   per-PC cached static hash terms;
@@ -30,7 +31,8 @@ fast and normal paths agree (see tests/test_fast_mode.py).
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, List, Tuple
 
 from ..isa.uop import _EXEC_LATENCY, UopKind
 from ..workloads.trace import Trace
@@ -41,44 +43,57 @@ from .simulator import (DECODE_RESTEER_PENALTY, MISPREDICT_REDIRECT_PENALTY,
 #: through the data hierarchy (see ``OutOfOrderBackend.admit_inst``).
 _LOAD_SENTINEL = -1
 
+#: One record's facts as the serve loop reads them: ``(inst, uops, nuops,
+#: latencies, is_branch, spans_line, span_tail_pc, taken)``.  All but
+#: ``taken`` are static; the tail PC is the last-byte address of an
+#: instruction spanning an I-cache line boundary (the extra fetch probe
+#: target), else 0.  Each PC has at most two such tuples, one per
+#: resolved direction, shared by every record of that PC.
+StaticInst = Tuple[object, tuple, int, Tuple[int, ...], bool, bool, int,
+                   bool]
+
 
 class TraceView:
-    """Flat per-record arrays precomputed from a trace + program.
+    """Per-record columns the serve loop indexes, precomputed per trace.
 
     Everything here — including the prediction-window segmentation — is a
     pure function of the static program, the resolved trace, the I-cache
     line size and the PW not-taken limit, so hoisting it out of the serve
     loop cannot change any simulated outcome.
+
+    The view is laid out to cost little beside its trace, which the
+    experiment layer memoizes alongside it:
+
+    - ``pcs``, ``next_pcs`` and ``mem_addrs`` *are* the trace's columns
+      (shared, not copied);
+    - ``statics`` holds one reference per record to a per-(PC, direction)
+      :data:`StaticInst` tuple, so a record's static facts and its
+      resolved taken flag cost one pointer and one tuple unpack;
+    - the PW bounds are ``array("q")`` columns.
     """
 
-    __slots__ = ("pcs", "next_pcs", "mem_addrs", "takens", "uops", "nuops",
-                 "latencies", "insts", "is_branch", "spans_line",
-                 "span_tail_pcs", "pw_firsts", "pw_lasts", "pw_ids")
+    __slots__ = ("pcs", "next_pcs", "mem_addrs", "statics",
+                 "pw_firsts", "pw_lasts", "pw_ids")
 
     def __init__(self, trace: Trace, line_bytes: int,
                  max_not_taken: int) -> None:
         program = trace.program
-        records = trace.records
-        n = len(records)
-        self.pcs: List[int] = [0] * n
-        self.next_pcs: List[int] = [0] * n
-        self.mem_addrs: List[Optional[int]] = [None] * n
-        self.takens: List[bool] = [False] * n
-        self.uops: List[tuple] = [()] * n
-        self.nuops: List[int] = [0] * n
-        self.latencies: List[Tuple[int, ...]] = [()] * n
-        self.insts: List[object] = [None] * n
-        self.is_branch: List[bool] = [False] * n
-        self.spans_line: List[bool] = [False] * n
-        #: Last-byte address of instructions spanning an I-cache line
-        #: boundary (the extra fetch probe target), else 0.
-        self.span_tail_pcs: List[int] = [0] * n
+        pcs = self.pcs = trace.pcs
+        next_pcs = self.next_pcs = trace.next_pcs
+        self.mem_addrs = trace.mem_addrs
+        n = len(pcs)
 
-        static: Dict[int, tuple] = {}
-        is_uncond: List[bool] = [False] * n
-        for i, record in enumerate(records):
-            pc = record.pc
-            info = static.get(pc)
+        # pc -> (end address, PW-ending kind, not-taken tuple, taken
+        # tuple), where the kind is 0 for a non-branch, 1 for a branch
+        # that ends its PW only when taken and 2 for an unconditional
+        # transfer.
+        by_pc: Dict[int, Tuple[int, int, StaticInst, StaticInst]] = {}
+        statics: List[object] = [None] * n
+        # Construction-only columns for the PW segmentation below.
+        takens = bytearray(n)
+        kinds = bytearray(n)
+        for i, pc in enumerate(pcs):
+            info = by_pc.get(pc)
             if info is None:
                 inst = program.at(pc)
                 uops = program.uops_at(pc)
@@ -87,36 +102,27 @@ class TraceView:
                     else _EXEC_LATENCY[uop.kind]
                     for uop in uops)
                 spans = inst.spans_line_boundary(line_bytes)
-                info = (inst, uops, len(uops), lats, inst.is_branch,
-                        inst.end_address, spans,
-                        inst.end_address - 1 if spans else 0,
-                        inst.is_unconditional_transfer)
-                static[pc] = info
-            inst, uops, nuops, lats, is_br, end_addr, spans, tail, \
-                uncond = info
-            self.pcs[i] = pc
-            self.next_pcs[i] = record.next_pc
-            self.mem_addrs[i] = record.mem_addr
-            self.takens[i] = record.next_pc != end_addr
-            self.uops[i] = uops
-            self.nuops[i] = nuops
-            self.latencies[i] = lats
-            self.insts[i] = inst
-            self.is_branch[i] = is_br
-            self.spans_line[i] = spans
-            self.span_tail_pcs[i] = tail
-            is_uncond[i] = uncond
+                facts = (inst, uops, len(uops), lats, inst.is_branch, spans,
+                         inst.end_address - 1 if spans else 0)
+                kind = (2 if inst.is_unconditional_transfer else 1) \
+                    if inst.is_branch else 0
+                info = (inst.end_address, kind, facts + (False,),
+                        facts + (True,))
+                by_pc[pc] = info
+            if next_pcs[i] != info[0]:
+                statics[i] = info[3]
+                takens[i] = 1
+            else:
+                statics[i] = info[2]
+            kinds[i] = info[1]
+        self.statics = statics
 
         # Prediction-window segmentation (mirrors
         # PredictionWindowBuilder.windows(); only the first/last record
         # indices and the pw_id are consumed by the serve loop).
-        pw_firsts: List[int] = []
-        pw_lasts: List[int] = []
-        pw_ids: List[int] = []
-        pcs = self.pcs
-        next_pcs = self.next_pcs
-        takens = self.takens
-        is_branch = self.is_branch
+        pw_firsts = array("q")
+        pw_lasts = array("q")
+        pw_ids = array("q")
         index = 0
         while index < n:
             first = index
@@ -126,9 +132,10 @@ class TraceView:
             while True:
                 idx = index
                 index += 1
-                if is_branch[idx] and (takens[idx] or is_uncond[idx]):
+                kind = kinds[idx]
+                if kind and (takens[idx] or kind == 2):
                     break
-                if is_branch[idx]:
+                if kind:
                     not_taken_seen += 1
                     if not_taken_seen >= max_not_taken:
                         break
@@ -195,26 +202,19 @@ class FastPath:
         decode_bw = cfg.decoder.bandwidth_insts_per_cycle
         decode_latency = cfg.decoder.latency_cycles
         oc_latency = cfg.uop_cache.fetch_latency_cycles
-        records = sim.trace.records
-        max_insts = cfg.max_instructions or len(records)
-        limit = min(len(records), max_insts)
+        total = len(sim.trace)
+        max_insts = cfg.max_instructions or total
+        limit = min(total, max_insts)
         limit_m1 = limit - 1
         loop_enabled = cfg.loop_cache.enabled
         strict = sim.strict
         warmup = cfg.warmup_instructions
 
-        # Prebound per-record arrays.
+        # Prebound per-record columns.
         pcs = view.pcs
         next_pcs = view.next_pcs
         mem_addrs = view.mem_addrs
-        takens = view.takens
-        uops_arr = view.uops
-        nuops = view.nuops
-        lats_arr = view.latencies
-        insts = view.insts
-        is_branch = view.is_branch
-        spans_line = view.spans_line
-        span_tails = view.span_tail_pcs
+        statics = view.statics
 
         # Prebound methods.
         lookup_fast = oc.lookup_fast
@@ -333,17 +333,14 @@ class FastPath:
                     if pc < start or pc >= end:
                         break
                     idx = cursor
-                    n = nuops[idx]
+                    inst, _, n, lats, is_br, _, _, taken = statics[idx]
                     uops_from_oc += n
                     seq_run_uops += n
-                    complete = admit_inst(lats_arr[idx], arrival,
-                                          mem_addrs[idx])
+                    complete = admit_inst(lats, arrival, mem_addrs[idx])
                     instructions_done += 1
                     cursor += 1
-                    taken = takens[idx]
-                    if is_branch[idx]:
-                        outcome = observe_fast(insts[idx], taken,
-                                               next_pcs[idx])
+                    if is_br:
+                        outcome = observe_fast(inst, taken, next_pcs[idx])
                         if outcome == 2:
                             mispredicts += 1
                             delta = complete - pw_fetch_cycle
@@ -382,25 +379,23 @@ class FastPath:
                 while cursor <= last:
                     idx = cursor
                     pc = pcs[idx]
-                    if spans_line[idx]:
-                        fetch_line(span_tails[idx])
+                    inst, uops, n, lats, is_br, spans, span_tail, taken = \
+                        statics[idx]
+                    if spans:
+                        fetch_line(span_tail)
                     arrival = base + slot // decode_bw
-                    complete = admit_inst(lats_arr[idx], arrival,
-                                          mem_addrs[idx])
-                    n = nuops[idx]
+                    complete = admit_inst(lats, arrival, mem_addrs[idx])
                     uops_from_ic += n
                     seq_run_uops += n
                     instructions_done += 1
                     decoded += 1
                     slot += 1
                     cursor += 1
-                    taken = takens[idx]
-                    for sealed in acc_push(uops_arr[idx], taken):
+                    for sealed in acc_push(uops, taken):
                         oc_fill(sealed)
                         pw_entry_count += 1
-                    if is_branch[idx]:
-                        outcome = observe_fast(insts[idx], taken,
-                                               next_pcs[idx])
+                    if is_br:
+                        outcome = observe_fast(inst, taken, next_pcs[idx])
                         if outcome == 2:
                             mispredicts += 1
                             delta = complete - pw_fetch_cycle

@@ -430,7 +430,9 @@ class Simulator:
         """
         trace = self.trace
         program = trace.program
-        records = trace.records
+        pcs = trace.pcs
+        next_pcs = trace.next_pcs
+        mem_addrs = trace.mem_addrs
         backend = self.backend
         loop_cache = self.loop_cache
         target = loop_cache.active_target
@@ -443,8 +445,7 @@ class Simulator:
         uops_served = 0
 
         while cursor < limit:
-            record = records[cursor]
-            pc = record.pc
+            pc = pcs[cursor]
             if not (target <= pc <= branch_pc):
                 observe_other()
                 break
@@ -452,7 +453,8 @@ class Simulator:
             uops = program.uops_at(pc)
             arrival = fe_cycle + 1 + uops_served // bandwidth
             timing = None
-            mem_addr = record.mem_addr
+            mem_addr = mem_addrs[cursor]
+            next_pc = next_pcs[cursor]
             for uop in uops:
                 mem = mem_addr if uop.kind is load_kind else None
                 timing = admit(uop, arrival, mem)
@@ -462,9 +464,9 @@ class Simulator:
             self._instructions_done += 1
             cursor += 1
 
-            taken = record.next_pc != inst.end_address
+            taken = next_pc != inst.end_address
             if inst.is_branch:
-                outcome = self.bpu.observe(inst, taken, record.next_pc)
+                outcome = self.bpu.observe(inst, taken, next_pc)
                 if outcome.outcome is PredictionOutcome.MISPREDICT:
                     resolve = timing.complete if timing else arrival
                     self._mispredicts += 1
@@ -475,9 +477,9 @@ class Simulator:
                     self._seq_run_uops = 0
                     break
             if taken:
-                if pc == branch_pc and record.next_pc == target:
+                if pc == branch_pc and next_pc == target:
                     loop_cache.observe_taken_branch(
-                        pc, record.next_pc, body_uops=self._seq_run_uops)
+                        pc, next_pc, body_uops=self._seq_run_uops)
                     self._seq_run_uops = 0
                     continue        # next iteration streams back-to-back
                 observe_other()

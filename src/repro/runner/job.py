@@ -10,11 +10,9 @@ stably across runs by :attr:`SweepJob.job_id`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
-from ..common.config import TelemetryConfig, baseline_config
 from ..common.errors import RunnerError
 from ..core.metrics import SimulationResult
 
@@ -117,25 +115,23 @@ def execute_job(job: SweepJob, strict: bool = True) -> SimulationResult:
 
     Shared by the serial path and the pool workers so parallel and serial
     sweeps are bit-identical: the simulation depends only on the (seeded)
-    trace and the configuration, both rebuilt deterministically here.
+    trace and the configuration, both rebuilt deterministically here.  A
+    job without telemetry runs the fast serve loop (see
+    :func:`repro.core.experiment.job_config`).
     """
     # Imported lazily: experiment.py builds its sweeps on top of this runner,
     # so a module-level import would be circular.
-    from ..core.experiment import policy_config, workload_trace
+    from ..core.experiment import job_config, workload_trace
     from ..core.simulator import Simulator
 
     if job.kind == KIND_CAPACITY:
-        config = baseline_config(job.capacity_uops)
+        design = "baseline"
     elif job.kind == KIND_POLICY:
-        config = policy_config(job.label, job.capacity_uops,
-                               job.max_entries_per_line)
+        design = job.label
     else:
         raise RunnerError(f"unknown job kind {job.kind!r} for {job.job_id}")
-    config = dataclasses.replace(
-        config, warmup_instructions=job.warmup_instructions)
-    if job.telemetry:
-        config = dataclasses.replace(
-            config, telemetry=TelemetryConfig(enabled=True))
+    config = job_config(design, job.capacity_uops, job.max_entries_per_line,
+                        job.warmup_instructions, telemetry=job.telemetry)
     trace = workload_trace(job.workload, job.num_instructions, seed=job.seed,
                            engine=job.engine,
                            engine_params=dict(job.engine_params))

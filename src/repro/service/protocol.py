@@ -156,24 +156,17 @@ def execute_spec(spec: JobSpec, strict: bool = True) -> SimulationResult:
 
     Shared by pool workers and any inline caller, so service results are
     bit-identical to CLI runs of the same configuration: everything is
-    rebuilt deterministically from the spec's primitives.
+    rebuilt deterministically from the spec's primitives.  Service jobs are
+    counters-only (no hub is ever attached here), so they take the fast
+    serve loop (see :func:`repro.core.experiment.job_config`).
     """
     # Imported lazily: experiment.py sits above the runner this module's
     # pool reuses, so a module-level import would be circular.
-    from ..core.experiment import policy_config, workload_trace
+    from ..core.experiment import job_config, workload_trace
     from ..core.simulator import Simulator
-    import dataclasses as _dataclasses
 
-    config = policy_config(spec.design, spec.capacity_uops,
-                           spec.max_entries_per_line)
-    config = _dataclasses.replace(
-        config, warmup_instructions=spec.warmup_instructions)
-    if not config.telemetry.enabled:
-        # Service jobs are counters-only (no hub is ever attached here),
-        # so they can take the specialized fast serve loop; the result is
-        # bit-identical to the stepped loop (tests/test_fast_mode.py and
-        # the differential test in tests/test_service_protocol.py).
-        config = config.with_fast_mode()
+    config = job_config(spec.design, spec.capacity_uops,
+                        spec.max_entries_per_line, spec.warmup_instructions)
     trace = workload_trace(spec.workload, spec.num_instructions,
                            seed=spec.seed, engine=spec.engine,
                            engine_params=dict(spec.engine_params))

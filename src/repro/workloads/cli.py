@@ -71,9 +71,9 @@ def run_trace_pack(args: argparse.Namespace) -> int:
     provenance["seed"] = args.seed
     written = pack_trace(trace, out, provenance=provenance)
     stats = trace.branch_stats()
-    print(f"packed {len(trace.records)} records "
+    print(f"packed {len(trace)} records "
           f"({stats.branches} branches) -> {out} ({written} bytes, "
-          f"{written / len(trace.records):.2f} B/record)")
+          f"{written / len(trace):.2f} B/record)")
     return 0
 
 

@@ -196,16 +196,14 @@ class TraceReplayEngine(WorkloadEngine):
         if num_instructions < 1:
             raise WorkloadError("trace length must be >= 1")
         trace = unpack_trace(self.params["path"])
-        packed = len(trace.records)
+        packed = len(trace)
         if num_instructions > packed:
             raise WorkloadError(
                 f"replay of {self.params['path']} asked for "
                 f"{num_instructions} instruction(s) but the packed trace "
                 f"holds only {packed}")
         if num_instructions < packed:
-            return Trace(trace.program,
-                         trace.records[:num_instructions],
-                         name=trace.name)
+            return trace.prefix(num_instructions)
         return trace
 
 

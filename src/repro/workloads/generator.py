@@ -31,7 +31,7 @@ from ..common.hashing import derive_stream_seed
 from ..isa.builder import INTEGER_MIX, InstructionBuilder, InstructionMix
 from ..isa.instruction import BranchKind, X86Instruction
 from .program import BasicBlock, Function, Program
-from .trace import DynamicInst, Trace
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -473,22 +473,33 @@ class TraceWalker:
         profile = workload.profile
         behaviors = workload.behaviors
 
-        records: List[DynamicInst] = []
+        # The trace's columns, appended to directly (no record objects).
+        # Each PC is stored as the decoded instruction's own ``address``
+        # object, and ``next_pcs`` is ``pcs`` shifted by one, so a record
+        # costs pointers, not a fresh ``int`` per resolved successor.
+        pcs: List[int] = []
+        mem_addrs: List[Optional[int]] = []
         call_stack: List[int] = []
         phase = 0
+        phase_length = profile.phase_length
         pc = program.entry
+        program_at = program.at
+        memory_address = self._memory_address
+        resolve_next_pc = self._next_pc
 
-        while len(records) < num_instructions:
-            self._index = len(records)
-            if profile.phase_length:
-                phase = len(records) // profile.phase_length
-            inst = program.at(pc)
-            mem_addr = self._memory_address(inst, len(call_stack))
-            next_pc = self._next_pc(inst, call_stack, phase, behaviors)
-            records.append(DynamicInst(pc=pc, next_pc=next_pc, mem_addr=mem_addr))
-            pc = next_pc
+        for index in range(num_instructions):
+            self._index = index
+            if phase_length:
+                phase = index // phase_length
+            inst = program_at(pc)
+            pcs.append(inst.address)
+            mem_addrs.append(memory_address(inst, len(call_stack)))
+            pc = resolve_next_pc(inst, call_stack, phase, behaviors)
 
-        return Trace(program, records, name=profile.name)
+        next_pcs = pcs[1:]
+        next_pcs.append(pc)
+        return Trace.from_columns(program, pcs, next_pcs, mem_addrs,
+                                  name=profile.name)
 
     def _pick_function_entry(self, phase: int) -> int:
         functions = self.workload.program.functions

@@ -30,7 +30,7 @@ from .generator import (
     WorkloadProfile,
 )
 from .program import BasicBlock, Function, Program
-from .trace import DynamicInst, Trace
+from .trace import Trace
 
 FORMAT_VERSION = 1
 
@@ -163,17 +163,15 @@ def load_workload(path: PathLike) -> Workload:
 
 def save_trace(trace: Trace, path: PathLike) -> None:
     """Write a resolved trace (with its program image) to a file."""
-    records = trace.records
     _write(path, {
         "kind": "trace",
         "name": trace.name,
         "workload": _workload_to_dict(
             Workload(profile=WorkloadProfile(name=trace.name),
                      program=trace.program, behaviors={})),
-        "pcs": [record.pc for record in records],
-        "next_pcs": [record.next_pc for record in records],
-        "mems": [-1 if record.mem_addr is None else record.mem_addr
-                 for record in records],
+        "pcs": list(trace.pcs),
+        "next_pcs": list(trace.next_pcs),
+        "mems": [-1 if addr is None else addr for addr in trace.mem_addrs],
     })
 
 
@@ -186,8 +184,6 @@ def load_trace(path: PathLike) -> Trace:
     mems = payload["mems"]
     if not (len(pcs) == len(next_pcs) == len(mems)):
         raise WorkloadError("corrupt trace: column lengths differ")
-    records = [
-        DynamicInst(pc=pc, next_pc=next_pc,
-                    mem_addr=None if mem < 0 else mem)
-        for pc, next_pc, mem in zip(pcs, next_pcs, mems)]
-    return Trace(workload.program, records, name=payload["name"])
+    return Trace.from_columns(
+        workload.program, pcs, next_pcs,
+        [None if mem < 0 else mem for mem in mems], name=payload["name"])

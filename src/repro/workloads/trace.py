@@ -3,8 +3,12 @@
 A trace is the resolved execution path of a program: one record per retired
 instruction carrying its PC, the *actual* next PC (which encodes taken /
 not-taken), and a data address for memory instructions.  Traces are replayed
-many times (once per simulated configuration), so records are slotted and the
-trace owns a reference to its static :class:`~repro.workloads.program.Program`.
+many times (once per simulated configuration), so they are stored
+column-wise — three parallel lists ``pcs``, ``next_pcs`` and ``mem_addrs``
+that the fast serve loop's :class:`~repro.core.fastpath.TraceView` shares
+without copying — and the trace owns a reference to its static
+:class:`~repro.workloads.program.Program`.  The per-record
+:class:`DynamicInst` view (:attr:`Trace.records`) is built on first use.
 """
 
 from __future__ import annotations
@@ -33,18 +37,58 @@ class DynamicInst:
 
 
 class Trace:
-    """An immutable dynamic instruction trace bound to its program image."""
+    """An immutable dynamic instruction trace bound to its program image.
+
+    ``Trace(program, records)`` builds the columns from a record list (and
+    keeps the list as :attr:`records`); :meth:`from_columns` adopts three
+    ready columns, and then :attr:`records` is only built if a caller asks
+    for it.  The columns are shared, never copied: nothing may mutate them.
+    """
 
     def __init__(self, program: Program, records: Sequence[DynamicInst],
                  name: str = "trace") -> None:
-        if not records:
+        records = list(records)
+        self._init(program, [record.pc for record in records],
+                   [record.next_pc for record in records],
+                   [record.mem_addr for record in records], name)
+        self._records: Optional[List[DynamicInst]] = records
+
+    @classmethod
+    def from_columns(cls, program: Program, pcs: List[int],
+                     next_pcs: List[int], mem_addrs: List[Optional[int]],
+                     name: str = "trace") -> "Trace":
+        """A trace over ready columns (adopted, not copied)."""
+        trace = cls.__new__(cls)
+        trace._init(program, pcs, next_pcs, mem_addrs, name)
+        trace._records = None
+        return trace
+
+    def _init(self, program: Program, pcs: List[int], next_pcs: List[int],
+              mem_addrs: List[Optional[int]], name: str) -> None:
+        if not pcs:
             raise WorkloadError("trace must contain at least one record")
+        if not len(pcs) == len(next_pcs) == len(mem_addrs):
+            raise WorkloadError(
+                f"trace columns differ in length: {len(pcs)} pcs, "
+                f"{len(next_pcs)} next_pcs, {len(mem_addrs)} mem_addrs")
         self.program = program
-        self.records: List[DynamicInst] = list(records)
+        self.pcs = pcs
+        self.next_pcs = next_pcs
+        self.mem_addrs = mem_addrs
         self.name = name
 
+    @property
+    def records(self) -> List[DynamicInst]:
+        """The trace as :class:`DynamicInst` records, built on first use."""
+        records = self._records
+        if records is None:
+            records = list(map(DynamicInst, self.pcs, self.next_pcs,
+                               self.mem_addrs))
+            self._records = records
+        return records
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.pcs)
 
     def __iter__(self) -> Iterator[DynamicInst]:
         return iter(self.records)
@@ -52,9 +96,16 @@ class Trace:
     def __getitem__(self, index: int) -> DynamicInst:
         return self.records[index]
 
+    def prefix(self, count: int) -> "Trace":
+        """The first ``count`` records as a trace of their own."""
+        return Trace.from_columns(self.program, self.pcs[:count],
+                                  self.next_pcs[:count],
+                                  self.mem_addrs[:count], name=self.name)
+
     @property
     def num_dynamic_uops(self) -> int:
-        return sum(self.program.at(r.pc).uop_count for r in self.records)
+        at = self.program.at
+        return sum(at(pc).uop_count for pc in self.pcs)
 
     def validate(self) -> None:
         """Check every record decodes and control flow is coherent.
@@ -62,35 +113,39 @@ class Trace:
         Raises :class:`WorkloadError` on the first inconsistency.  O(n); meant
         for tests and workload development, not the simulation hot path.
         """
-        for i, record in enumerate(self.records):
-            inst = self.program.at(record.pc)  # raises if undecodable
-            if record.next_pc != inst.end_address and not inst.is_branch:
+        pcs = self.pcs
+        next_pcs = self.next_pcs
+        total = len(pcs)
+        for i, pc in enumerate(pcs):
+            next_pc = next_pcs[i]
+            inst = self.program.at(pc)  # raises if undecodable
+            if next_pc != inst.end_address and not inst.is_branch:
                 raise WorkloadError(
-                    f"record {i}: non-branch at {record.pc:#x} changed control flow")
-            if inst.is_unconditional_transfer and record.next_pc == inst.end_address:
+                    f"record {i}: non-branch at {pc:#x} changed control flow")
+            if inst.is_unconditional_transfer and next_pc == inst.end_address:
                 # An unconditional transfer may still "fall through" only if its
                 # target happens to equal the next sequential address.
                 if inst.branch_target is not None and \
                         inst.branch_target != inst.end_address:
                     raise WorkloadError(
-                        f"record {i}: unconditional branch at {record.pc:#x} "
+                        f"record {i}: unconditional branch at {pc:#x} "
                         "fell through")
-            if i + 1 < len(self.records) and \
-                    self.records[i + 1].pc != record.next_pc:
+            if i + 1 < total and pcs[i + 1] != next_pc:
                 raise WorkloadError(
-                    f"record {i}: next_pc {record.next_pc:#x} does not match "
-                    f"following record pc {self.records[i + 1].pc:#x}")
+                    f"record {i}: next_pc {next_pc:#x} does not match "
+                    f"following record pc {pcs[i + 1]:#x}")
 
     def branch_stats(self) -> "TraceBranchStats":
-        total = len(self.records)
+        total = len(self.pcs)
         branches = taken = conditional = 0
-        for record in self.records:
-            inst = self.program.at(record.pc)
+        at = self.program.at
+        for pc, next_pc in zip(self.pcs, self.next_pcs):
+            inst = at(pc)
             if inst.is_branch:
                 branches += 1
                 if inst.is_conditional_branch:
                     conditional += 1
-                if record.taken(inst):
+                if next_pc != inst.end_address:
                     taken += 1
         return TraceBranchStats(
             instructions=total, branches=branches,

@@ -53,7 +53,7 @@ from ..common.errors import WorkloadError
 from ..common.integrity import canonical_json
 from .generator import Workload, WorkloadProfile
 from .serialization import _workload_from_dict, _workload_to_dict
-from .trace import DynamicInst, Trace
+from .trace import Trace
 
 MAGIC = b"UOPTRACE"
 FORMAT_VERSION = 1
@@ -133,15 +133,16 @@ class _Reader:
 
 # ------------------------------------------------------------------- pack
 
-def _encode_records(records: List[DynamicInst]) -> bytes:
+def _encode_records(trace: Trace) -> bytes:
     out = bytearray()
-    _write_varint(out, len(records))
-    _write_varint(out, records[0].pc)
-    for record in records:
-        _write_varint(out, _zigzag(record.next_pc - record.pc))
-    mems = [(index, record.mem_addr)
-            for index, record in enumerate(records)
-            if record.mem_addr is not None]
+    pcs = trace.pcs
+    _write_varint(out, len(pcs))
+    _write_varint(out, pcs[0])
+    for pc, next_pc in zip(pcs, trace.next_pcs):
+        _write_varint(out, _zigzag(next_pc - pc))
+    mems = [(index, addr)
+            for index, addr in enumerate(trace.mem_addrs)
+            if addr is not None]
     _write_varint(out, len(mems))
     last_index = 0
     last_addr = 0
@@ -153,7 +154,9 @@ def _encode_records(records: List[DynamicInst]) -> bytes:
     return bytes(out)
 
 
-def _decode_records(payload: bytes, declared: int) -> List[DynamicInst]:
+def _decode_records(payload: bytes, declared: int
+                    ) -> Tuple[List[int], List[int], List[Optional[int]]]:
+    """The RECS payload as (pcs, next_pcs, mem_addrs) trace columns."""
     reader = _Reader(payload, "RECS section")
     count = reader.varint()
     if count != declared:
@@ -185,9 +188,8 @@ def _decode_records(payload: bytes, declared: int) -> List[DynamicInst]:
         mem_addrs[index] = addr
     if not reader.exhausted:
         raise WorkloadError("trailing garbage after the RECS payload")
-    return [DynamicInst(pc=pcs[i], next_pc=next_pcs[i],
-                        mem_addr=mem_addrs[i])
-            for i in range(count)]
+    pcs.pop()       # the last next_pc starts no record
+    return pcs, next_pcs, mem_addrs
 
 
 def _section(tag: int, payload: bytes) -> bytes:
@@ -208,7 +210,7 @@ def pack_bytes(trace: Trace,
     """
     meta: Dict[str, Any] = {
         "name": trace.name,
-        "records": len(trace.records),
+        "records": len(trace),
     }
     if provenance:
         meta["provenance"] = provenance
@@ -222,7 +224,7 @@ def pack_bytes(trace: Trace,
                         canonical_json(meta).encode("utf-8")))
     out.extend(_section(_TAG_PROG,
                         zlib.compress(program_json.encode("utf-8"), 9)))
-    out.extend(_section(_TAG_RECS, _encode_records(trace.records)))
+    out.extend(_section(_TAG_RECS, _encode_records(trace)))
     return bytes(out)
 
 
@@ -314,8 +316,10 @@ def unpack_bytes(data: bytes, validate: bool = True) -> Trace:
     sections = _read_sections(data)
     meta = _decode_meta(sections[_TAG_META])
     workload = _decode_program(sections[_TAG_PROG])
-    records = _decode_records(sections[_TAG_RECS], meta["records"])
-    trace = Trace(workload.program, records, name=meta["name"])
+    pcs, next_pcs, mem_addrs = _decode_records(sections[_TAG_RECS],
+                                               meta["records"])
+    trace = Trace.from_columns(workload.program, pcs, next_pcs, mem_addrs,
+                               name=meta["name"])
     if validate:
         try:
             trace.validate()

@@ -37,6 +37,7 @@ from repro.core.experiment import (
 from repro.core.simulator import Simulator
 from repro.isa.uop import Uop, UopKind
 from repro.oracle import diff_fast_mode
+from repro.workloads.engine import create_engine
 
 from test_golden import GOLDEN_RUNS, _first_divergence, _golden_path
 
@@ -116,6 +117,19 @@ def test_fast_vs_normal_with_warmup_and_loop_cache():
         loop_cache=dataclasses.replace(
             SimulatorConfig().loop_cache, enabled=True))
     diff_fast_mode(trace, config, "f-pwac", raise_on_divergence=True)
+
+
+def test_fast_mode_never_builds_trace_records():
+    """The fast loop, loop-cache path included, reads the trace's columns;
+    the per-record objects are left for the stepped loop to build."""
+    trace = create_engine("synthetic", workload="bm-x64",
+                          params={}).build_trace(4000, DEFAULT_SEED)
+    config = dataclasses.replace(
+        policy_config("f-pwac", 1024), loop_cache=dataclasses.replace(
+            SimulatorConfig().loop_cache, enabled=True)).with_fast_mode()
+    result = Simulator(trace, config, "f-pwac", strict=True).run()
+    assert result.uops_from_loop_cache > 0
+    assert trace._records is None
 
 
 def test_diff_fast_mode_reports_field_path():

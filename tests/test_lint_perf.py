@@ -129,12 +129,10 @@ class TestP5UnguardedTelemetry:
 
 
 class TestHotScope:
-    def test_repo_tree_has_no_perf_findings(self):
+    def test_repo_tree_has_no_perf_findings(self, repo_self_lint):
         """The simulator hot paths were brought clean in this change; the
         committed tree must self-lint free of P findings."""
-        repo_root = Path(__file__).resolve().parents[1]
-        engine = LintEngine(root=repo_root, rules=all_rules())
-        report = engine.run([repo_root / "src"])
+        report, _elapsed = repo_self_lint
         perf = [f for f in report.findings if f.rule.startswith("P")]
         assert perf == [], [
             (f.path, f.line, f.rule, f.message) for f in perf]

@@ -1,6 +1,7 @@
 """Tests for the fault-tolerant sweep runner (checkpoint, retry, quarantine,
 resume, and serial/parallel parity)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,8 +12,17 @@ from repro.common.errors import (
     ReproWarning,
     RunnerError,
 )
-from repro.core.experiment import run_policy_sweep, run_single, policy_config
+from repro.core.experiment import (
+    CAPACITY_SWEEP,
+    POLICY_LABELS,
+    policy_config,
+    run_policy_sweep,
+    run_single,
+    workload_trace,
+)
+from repro.core.fastpath import FastPath
 from repro.core.metrics import SimulationResult
+from repro.core.simulator import Simulator
 from repro.runner import (
     CheckpointJournal,
     FaultPlan,
@@ -364,3 +374,58 @@ class TestSweepIntegration:
         assert "clasp" in table["bm-lla"]
         means = sweep.mean_over_workloads(table)
         assert set(means) == {"baseline", "clasp"}
+
+
+class TestFastLoopSweeps:
+    """Sweep cells without telemetry run the fast serve loop; their results
+    must equal stepped-loop runs of the same jobs, field for field."""
+
+    WORKLOAD = "bm-cc"
+    INSTRUCTIONS = 5000
+
+    def _stepped(self, job, design):
+        config = dataclasses.replace(
+            policy_config(design, job.capacity_uops,
+                          job.max_entries_per_line),
+            warmup_instructions=job.warmup_instructions)
+        assert not config.fast_mode
+        trace = workload_trace(job.workload, job.num_instructions,
+                               seed=job.seed)
+        return Simulator(trace, config, job.label, strict=True).run()
+
+    def _assert_sweep_matches_stepped(self, jobs, designs):
+        results, report = SweepRunner(RunnerConfig(jobs=1)).run(jobs)
+        assert report.ok and len(results) == len(jobs)
+        for job, design in zip(jobs, designs):
+            expected = self._stepped(job, design).to_dict()
+            assert results[job.job_id].to_dict() == expected, job.job_id
+
+    def test_policy_sweep_matches_stepped_loop(self):
+        jobs = build_policy_jobs([self.WORKLOAD], POLICY_LABELS, 2048, 2,
+                                 self.INSTRUCTIONS, warmup_instructions=1000)
+        self._assert_sweep_matches_stepped(jobs, POLICY_LABELS)
+
+    def test_capacity_sweep_matches_stepped_loop(self):
+        jobs = build_capacity_jobs([self.WORKLOAD], CAPACITY_SWEEP,
+                                   self.INSTRUCTIONS)
+        self._assert_sweep_matches_stepped(jobs,
+                                           ["baseline"] * len(jobs))
+
+    def test_counters_only_job_takes_fast_loop(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("stepped loop used by a counters-only job")
+
+        monkeypatch.setattr(Simulator, "steps", refuse)
+        job = _jobs(["bm-x64"], ("rac",))[0]
+        assert execute_job(job).instructions == INSTRUCTIONS
+
+    def test_telemetry_job_takes_stepped_loop(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("fast loop used by a telemetry job")
+
+        monkeypatch.setattr(FastPath, "run", refuse)
+        job = dataclasses.replace(_jobs(["bm-x64"], ("rac",))[0],
+                                  telemetry=True)
+        result = execute_job(job)
+        assert result.telemetry_events
+        assert sum(result.telemetry_events.values()) > 0

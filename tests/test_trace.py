@@ -1,11 +1,16 @@
 """Unit tests for trace representation and validation."""
 
+import hashlib
+
 import pytest
 
 from repro.common.errors import WorkloadError
+from repro.core.fastpath import trace_view
+from repro.workloads.engine import create_engine
 from repro.isa.instruction import BranchKind, InstClass, X86Instruction
 from repro.workloads.program import BasicBlock, Function, Program
 from repro.workloads.trace import DynamicInst, Trace
+from repro.workloads.tracefile import pack_bytes, unpack_bytes
 
 
 def build_program():
@@ -89,3 +94,63 @@ class TestTrace:
         assert stats.conditional_branches == 2
         assert stats.taken_branches == 1
         assert stats.branch_density == pytest.approx(2 / 6)
+
+
+def walked_trace(instructions=3000, seed=11):
+    return create_engine("synthetic", workload="bm-cc",
+                         params={}).build_trace(instructions, seed)
+
+
+class TestColumnarTrace:
+    """The walker fills the trace's columns directly; the record view,
+    the record-built constructor and the packed form must all agree."""
+
+    #: SHA-256 of ``pack_bytes(walked_trace())``: the packed format and
+    #: the walk must not move when the in-memory layout does.
+    PACKED_SHA256 = (
+        "a1c3e64f484dca7f7a8a7e30ee40b91c7dd06ea01582f5747894ee94b0ae5186")
+
+    def test_walker_columns_match_record_built_trace(self):
+        walked = walked_trace()
+        rebuilt = Trace(walked.program, walked.records, name=walked.name)
+        assert rebuilt.pcs == walked.pcs
+        assert rebuilt.next_pcs == walked.next_pcs
+        assert rebuilt.mem_addrs == walked.mem_addrs
+        assert len(rebuilt) == len(walked) == 3000
+
+    def test_records_round_trip(self):
+        records = records_loop_twice()
+        trace = Trace(build_program(), records)
+        assert trace.pcs == [r.pc for r in records]
+        assert trace.next_pcs == [r.next_pc for r in records]
+        assert trace.mem_addrs == [r.mem_addr for r in records]
+        columnar = Trace.from_columns(build_program(), trace.pcs,
+                                      trace.next_pcs, trace.mem_addrs)
+        assert columnar.records == records
+        assert columnar.records is columnar.records   # built once
+
+    def test_column_length_mismatch_rejected(self):
+        with pytest.raises(WorkloadError):
+            Trace.from_columns(build_program(), [0x100, 0x104], [0x104],
+                               [None, None])
+
+    def test_prefix(self):
+        walked = walked_trace()
+        prefix = walked.prefix(100)
+        assert prefix.records == walked.records[:100]
+        assert prefix.name == walked.name
+
+    def test_packed_bytes_unchanged(self):
+        packed = pack_bytes(walked_trace())
+        assert hashlib.sha256(packed).hexdigest() == self.PACKED_SHA256
+        unpacked = unpack_bytes(packed)
+        assert unpacked.pcs == walked_trace().pcs
+        assert pack_bytes(unpacked) == packed
+
+    def test_trace_view_shares_the_columns(self):
+        trace = walked_trace()
+        view = trace_view(trace, 64, 2)
+        assert view.pcs is trace.pcs
+        assert view.next_pcs is trace.next_pcs
+        assert view.mem_addrs is trace.mem_addrs
+        assert trace._records is None     # the fast loop needs no records
